@@ -87,10 +87,10 @@ class NetworkSimulator:
     transport, selected by ``config.link_mode`` (``"batched"`` arrival
     lanes default, ``"reference"`` mailbox-tuple specification; enforced
     by ``tests/test_link_equivalence.py``).  The fourth axis is the core
-    schedule, selected by ``config.core_mode``: ``"objects"`` (default)
-    registers every router and interface with the kernel individually,
-    while ``"flat"`` lowers the whole network into one flat
-    struct-of-arrays component (:mod:`repro.network.flatcore`).  All
+    schedule, selected by ``config.core_mode``: ``"flat"`` (default)
+    lowers the whole network into one flat struct-of-arrays component
+    (:mod:`repro.network.flatcore`), while ``"objects"`` (specification)
+    registers every router and interface with the kernel individually.  All
     four axes compose freely and are enforced bit-identical across the
     full sixteen-combination cube by ``tests/test_link_equivalence.py``.
     """

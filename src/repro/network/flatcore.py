@@ -4,14 +4,13 @@ The simulator's fourth two-implementations-one-semantics axis, selected
 by :attr:`~repro.core.config.SimulationConfig.core_mode`:
 
 ``"objects"``
-    The default.  The network's routers and interfaces are registered
-    with the kernel as individual components, exactly as in every prior
-    release; all per-cycle behaviour lives in
-    :class:`~repro.router.router.Router` and
+    The executable specification.  The network's routers and interfaces
+    are registered with the kernel as individual components; all
+    per-cycle behaviour lives in :class:`~repro.router.router.Router` and
     :class:`~repro.network.interface.NetworkInterface`.
 
 ``"flat"``
-    The whole network is lowered into one kernel component,
+    The default.  The whole network is lowered into one kernel component,
     :class:`FlatNetworkCore`, holding the hot state in flat preallocated
     parallel arrays -- one global virtual-channel table indexed by
     ``(router, port, vc)`` with arrays for buffer occupancy, credits,

@@ -55,11 +55,6 @@ def port_direction(port: int) -> Tuple[int, int]:
     return dimension, (1 if offset == 0 else -1)
 
 
-#: (concrete topology class, dims) -> average distance; see
-#: :meth:`Topology.average_distance`.
-_AVERAGE_DISTANCE_CACHE: dict = {}
-
-
 class Topology:
     """Base class for regular point-to-point topologies.
 
@@ -233,31 +228,29 @@ class Topology:
     def average_distance(self) -> float:
         """Average minimal hop count over all ordered source/dest pairs.
 
-        The O(nodes^2) pair walk is memoized per instance *and* in a
-        class-keyed table shared across instances: topologies are
-        immutable after construction, the result is a pure function of
-        (concrete class, dims), and the simulator consults this for the
-        cycle budget and zero-load latency of every run -- at 32x32 and
-        above the pair walk would otherwise rival small simulations.
+        The mean of :meth:`distance` over the N(N-1) ordered pairs of
+        distinct nodes, computed as the exact integer
+        :meth:`_distance_sum` divided once, so every subclass yields the
+        same float a pair walk would.  The simulator consults this for
+        the cycle budget and zero-load latency of every run; the result
+        is memoized per instance (topologies are immutable after
+        construction).
         """
         cached = getattr(self, "_average_distance", None)
-        if cached is not None:
-            return cached
-        key = (type(self), self._dims)
-        average = _AVERAGE_DISTANCE_CACHE.get(key)
-        if average is None:
-            total = 0
-            count = 0
-            for source in range(self._num_nodes):
-                for destination in range(self._num_nodes):
-                    if source == destination:
-                        continue
-                    total += self.distance(source, destination)
-                    count += 1
-            average = total / count if count else 0.0
-            _AVERAGE_DISTANCE_CACHE[key] = average
-        self._average_distance = average
-        return average
+        if cached is None:
+            nodes = self._num_nodes
+            cached = self._distance_sum() / (nodes * (nodes - 1))
+            self._average_distance = cached
+        return cached
+
+    def _distance_sum(self) -> int:
+        """Sum of :meth:`distance` over all ordered pairs of distinct nodes.
+
+        The generic fallback is the O(nodes^2) pair walk; meshes and tori
+        override it with a closed form.
+        """
+        nodes = range(self._num_nodes)
+        return sum(self.distance(a, b) for a in nodes for b in nodes if a != b)
 
     # -- capacity ----------------------------------------------------------
 
@@ -308,6 +301,13 @@ class MeshTopology(Topology):
         destination_coords = self.coordinates(destination)
         return sum(abs(a - b) for a, b in zip(source_coords, destination_coords))
 
+    def _distance_sum(self) -> int:
+        # Distance is separable per dimension, and each ordered coordinate
+        # pair of dimension d recurs in (N / k_d)^2 node pairs; a line of k
+        # nodes sums |a - b| over its ordered pairs to (k^3 - k) / 3.
+        nodes = self._num_nodes
+        return sum((nodes // k) ** 2 * (k ** 3 - k) // 3 for k in self._dims)
+
     def bisection_channels(self) -> int:
         # Cutting the largest dimension in half severs one bidirectional
         # link per node in the cut plane; the cut plane has N / k_max nodes.
@@ -357,6 +357,15 @@ class TorusTopology(Topology):
             offset = abs(there - here)
             total += min(offset, extent - offset)
         return total
+
+    def _distance_sum(self) -> int:
+        # As for the mesh, with a ring of k nodes: each of its k nodes sees
+        # every offset o once, at distance min(o, k - o).
+        nodes = self._num_nodes
+        return sum(
+            (nodes // k) ** 2 * k * sum(min(o, k - o) for o in range(k))
+            for k in self._dims
+        )
 
     def bisection_channels(self) -> int:
         # The wrap links double the number of channels crossing the cut.

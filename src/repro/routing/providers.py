@@ -8,7 +8,11 @@ a system administrator would program the lookup tables of a commercial
 table-based router.
 
 All providers here return **minimal** (productive) ports only, which is
-what every routing algorithm evaluated in the paper uses.
+what every routing algorithm evaluated in the paper uses.  Each one also
+depends only on ``topology.relative_signs(current, destination)`` and
+declares so with the function attribute ``sign_invariant = True``, which
+lets :class:`~repro.tables.economical.EconomicalStorageTable` program one
+representative destination per sign pattern instead of every destination.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ def minimal_adaptive_provider(topology: Topology) -> PortProvider:
     def provider(current: int, destination: int) -> Tuple[int, ...]:
         return topology.minimal_ports(current, destination)
 
+    provider.sign_invariant = True
     return provider
 
 
@@ -49,6 +54,7 @@ def dimension_order_provider(topology: Topology) -> PortProvider:
     def provider(current: int, destination: int) -> Tuple[int, ...]:
         return (topology.dimension_order_port(current, destination),)
 
+    provider.sign_invariant = True
     return provider
 
 
@@ -72,6 +78,9 @@ def _turn_model_provider(
         allowed = tuple(port for port in candidates if not forbidden(port, signs))
         return allowed if allowed else candidates
 
+    # ``forbidden`` sees only the signs and the minimal ports, which are
+    # themselves a function of the signs.
+    provider.sign_invariant = True
     return provider
 
 

@@ -15,13 +15,19 @@ computed with two small comparators per dimension; see
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.network.topology import LOCAL_PORT, Topology, port_for
+from repro.network.topology import (
+    LOCAL_PORT,
+    MeshTopology,
+    Topology,
+    TorusTopology,
+    port_for,
+)
 from repro.routing.providers import PortProvider, minimal_adaptive_provider
 from repro.tables.base import RoutingTable, TableProgrammingError
 
-__all__ = ["EconomicalStorageTable"]
+__all__ = ["EconomicalStorageTable", "sign_class_representatives"]
 
 Signs = Tuple[int, ...]
 
@@ -39,8 +45,32 @@ def _geometric_ports(signs: Signs) -> Tuple[int, ...]:
     return tuple(ports)
 
 
+def sign_class_representatives(topology: Topology, node: int) -> List[int]:
+    """One destination of every sign pattern realizable from ``node``.
+
+    The product over dimensions of the coordinates {c-1, c, c+1} around
+    ``node``, reached by one hop each way per dimension: cut off at a mesh
+    edge, wrapped on a torus (where a k=2 ring's two neighbors coincide, its
+    lone offset breaking toward +1).  At most 3^n nodes, where enumerating
+    every destination costs N.
+    """
+    representatives = [node]
+    for dimension in range(topology.n_dims):
+        ports = (port_for(dimension, positive=False), port_for(dimension, positive=True))
+        reached = []
+        for here in representatives:
+            reached.append(here)
+            reached.extend(topology.neighbor(here, port) for port in ports)
+        representatives = list(dict.fromkeys(n for n in reached if n is not None))
+    return representatives
+
+
 class EconomicalStorageTable(RoutingTable):
     """A 3^n-entry, sign-indexed routing table for n-dimensional meshes.
+
+    Every router gets its own 3^n-entry table, as in hardware, so entries
+    can be reprogrammed per router (e.g. the paper's Fig. 7 North-Last
+    example programs node (1,1) of a 3x3 mesh).
 
     Parameters
     ----------
@@ -50,28 +80,26 @@ class EconomicalStorageTable(RoutingTable):
         Routing relation to program.  Defaults to minimal fully adaptive
         routing.  Because one entry serves *every* destination sharing a
         sign pattern, the programmed entry is the intersection of the
-        provider's answers over those destinations; for sign-invariant
-        relations (minimal adaptive, the turn models) this equals the
-        provider's answer for any representative destination.
-    per_node:
-        When True (default) each router gets its own 3^n-entry table, as in
-        hardware.  Entries can then be reprogrammed per router (e.g. the
-        paper's Fig. 7 North-Last example programs node (1,1) of a 3x3
-        mesh).
+        provider's answers over those destinations, which costs N provider
+        calls per router.  A provider that sets the function attribute
+        ``sign_invariant = True`` promises that its answer depends only on
+        ``topology.relative_signs(current, destination)``; the entry is then
+        its answer for any one destination of the pattern, and on a mesh or
+        torus each router is programmed from at most 3^n representative
+        destinations (see :func:`sign_class_representatives`).
     """
 
     name = "economical-storage"
 
-    def __init__(
-        self,
-        topology: Topology,
-        provider: Optional[PortProvider] = None,
-        per_node: bool = True,
-    ) -> None:
+    def __init__(self, topology: Topology, provider: Optional[PortProvider] = None) -> None:
         if provider is None:
             provider = minimal_adaptive_provider(topology)
         self._topology = topology
-        self._per_node = per_node
+        # The representatives assume mesh/torus sign geometry; any other
+        # topology enumerates every destination.
+        self._per_class = getattr(provider, "sign_invariant", False) and isinstance(
+            topology, (MeshTopology, TorusTopology)
+        )
         self._sign_patterns = tuple(product((-1, 0, 1), repeat=topology.n_dims))
         self._tables: List[Dict[Signs, Tuple[int, ...]]] = [
             self._program_node(node, provider) for node in range(topology.num_nodes)
@@ -79,10 +107,14 @@ class EconomicalStorageTable(RoutingTable):
 
     def _program_node(self, node: int, provider: PortProvider) -> Dict[Signs, Tuple[int, ...]]:
         """Build the 3^n-entry table of one router from a provider."""
+        if self._per_class:
+            destinations: Iterable[int] = sign_class_representatives(self._topology, node)
+        else:
+            destinations = range(self._topology.num_nodes)
         intersections: Dict[Signs, Optional[set]] = {
             signs: None for signs in self._sign_patterns
         }
-        for destination in range(self._topology.num_nodes):
+        for destination in destinations:
             signs = self._topology.relative_signs(node, destination)
             ports = set(provider(node, destination))
             if intersections[signs] is None:

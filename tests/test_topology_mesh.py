@@ -5,6 +5,7 @@ import pytest
 from repro.network.topology import (
     LOCAL_PORT,
     MeshTopology,
+    Topology,
     port_direction,
     port_for,
 )
@@ -126,18 +127,50 @@ def test_distance_is_manhattan(mesh4x4):
     assert mesh4x4.distance(mesh4x4.node_id((2, 1)), mesh4x4.node_id((2, 1))) == 0
 
 
+def _pair_walk_average(topology):
+    nodes = range(topology.num_nodes)
+    total = sum(topology.distance(a, b) for a in nodes for b in nodes if a != b)
+    return total / (topology.num_nodes * (topology.num_nodes - 1))
+
+
+@pytest.mark.parametrize(
+    "dims", [(7,), (2,), (2, 2), (2, 5), (5, 3), (3, 3), (16, 16), (3, 4, 2)]
+)
+def test_closed_form_average_distance_equals_pair_walk(dims):
+    mesh = MeshTopology(dims)
+    # Exact float equality: both are one correctly rounded integer division.
+    assert mesh.average_distance() == _pair_walk_average(mesh)
+
+
 def test_average_distance_known_value():
-    # For a k x k mesh the average one-dimension distance over ordered
-    # distinct pairs gives the classic (k+1)/3 per dimension scaled by the
-    # pair-counting correction; check against a direct small computation.
-    mesh = MeshTopology((3, 3))
-    total, count = 0, 0
-    for a in range(9):
-        for b in range(9):
-            if a != b:
-                total += mesh.distance(a, b)
-                count += 1
-    assert mesh.average_distance() == pytest.approx(total / count)
+    # A line of k nodes averages (k + 1) / 3 hops over ordered distinct pairs.
+    assert MeshTopology((7,)).average_distance() == pytest.approx(8 / 3)
+
+
+class _KingTopology(Topology):
+    """A test-only mesh-wired topology whose distance is the Chebyshev
+    (king-move) metric, which has no closed form in the library."""
+
+    def __init__(self, dims):
+        self.distance_calls = 0
+        super().__init__(dims)
+
+    def _compute_neighbor(self, node, port):
+        return MeshTopology._compute_neighbor(self, node, port)
+
+    def distance(self, source, destination):
+        self.distance_calls += 1
+        return max(
+            abs(a - b)
+            for a, b in zip(self.coordinates(source), self.coordinates(destination))
+        )
+
+
+def test_topology_without_closed_form_falls_back_to_pair_walk():
+    king = _KingTopology((4, 3))
+    average = king.average_distance()
+    assert king.distance_calls == 12 * 11
+    assert average == _pair_walk_average(king)
 
 
 def test_bisection_and_saturation_rate():

@@ -123,3 +123,25 @@ def test_torus3d_registry_entry():
             mesh_dims=(4, 4), topology="torus3d", routing="duato",
             num_escape_vcs=2,
         )
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [
+        TorusTopology((2, 5)),
+        TorusTopology((4, 4)),
+        TorusTopology((5, 3)),
+        TorusTopology((6,)),
+        TorusTopology((3, 3, 3)),
+        TorusTopology((2, 3, 4)),
+        Torus3D((4, 4, 2)),
+    ],
+    ids=repr,
+)
+def test_closed_form_average_distance_equals_pair_walk(topology):
+    nodes = range(topology.num_nodes)
+    total = sum(topology.distance(a, b) for a in nodes for b in nodes if a != b)
+    # Exact float equality: both are one correctly rounded integer division.
+    assert topology.average_distance() == total / (
+        topology.num_nodes * (topology.num_nodes - 1)
+    )
