@@ -2,10 +2,10 @@
 """Micro-benchmark: flat struct-of-arrays core vs. the object network.
 
 Times complete simulations under both core schedules (both on the default
-activity kernel with batched switch allocation and link transport),
-verifies that the schedules produce bit-identical latency/throughput
-numbers, and writes the wall-clock report to ``BENCH_core.json`` at the
-repository root so the core performance trajectory is tracked across PRs.
+activity kernel; the object network runs its reference router), verifies
+that the schedules produce bit-identical latency/throughput numbers, and
+writes the wall-clock report to ``BENCH_core.json`` at the repository
+root so the core performance trajectory is tracked across PRs.
 
 The measured grid is the regime map of the optimisation:
 
@@ -184,8 +184,6 @@ def run_benchmark(smoke: bool = False, repeats: int = 3) -> Dict[str, object]:
         "benchmark": "core",
         "scale": "smoke" if smoke else "full",
         "kernel_mode": "activity",
-        "switch_mode": "batched",
-        "link_mode": "batched",
         "message_length": 20,
         "seed": 7,
         "repeats": repeats,

@@ -1,12 +1,12 @@
 """Static analysis of the repro house style.
 
-The repo's fast paths (activity kernel, batched switch, batched link,
-flat core) stay bit-identical to their reference schedules only while a
-handful of conventions hold: seeded RNG streams only, no unordered
-iteration in simulation code, a hand-bumped ``CACHE_FORMAT_VERSION``
-whenever the cache-key surface moves, and a wake/active-hint guard at
-every quiescence-relevant mutation site.  This package enforces those
-conventions *statically*, before an expensive campaign can diverge:
+The repo's fast paths (activity kernel, flat core) stay bit-identical
+to their reference schedules only while a handful of conventions hold:
+seeded RNG streams only, no unordered iteration in simulation code, a
+hand-bumped ``CACHE_FORMAT_VERSION`` whenever the cache-key surface
+moves, and a wake/active-hint guard at every quiescence-relevant
+mutation site.  This package enforces those conventions *statically*,
+before an expensive campaign can diverge:
 
 =========  =========================================================
 family     checks

@@ -12,15 +12,13 @@ Three contracts over the live registries and the shipped study specs:
   real :class:`~repro.core.config.SimulationConfig` field, checked for
   both the registered study builders and the shipped JSON spec files.
 * **R003** -- every two-implementations-one-semantics registry kind
-  ships its full schedule pair (``switch``/``link``:
-  reference+batched, ``core``: objects+flat), so the sixteen-combination
-  equivalence cube keeps covering what users can select.
+  ships its full schedule pair (``core``: objects+flat), so the
+  kernel x core equivalence cube keeps covering what users can select.
 """
 
 from __future__ import annotations
 
 import importlib.util
-from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,8 +36,6 @@ __all__ = [
 
 #: Mode-style registry kinds and the entries each must ship (R003).
 REQUIRED_SCHEDULE_PAIRS: Dict[str, Tuple[str, ...]] = {
-    "switch": ("reference", "batched"),
-    "link": ("reference", "batched"),
     "core": ("objects", "flat"),
 }
 
@@ -62,9 +58,7 @@ def _probes() -> Dict[str, Callable[[object, str], None]]:
     their declared base class instead of called."""
     from repro.core.config import SimulationConfig
     from repro.network.flatcore import CoreSchedule
-    from repro.network.link import LinkSchedule
     from repro.router.pipeline import PipelineTiming
-    from repro.router.switch import SwitchSchedule
     from repro.scenario.spec import Study
     from repro.core.simulator import build_table, build_topology
 
@@ -141,8 +135,6 @@ def _probes() -> Dict[str, Callable[[object, str], None]]:
         "traffic": lambda factory, name: factory(topology),
         "injection": lambda factory, name: factory(base, 0.01),
         "pipeline": _expect_instance(PipelineTiming),
-        "switch": _expect_instance(SwitchSchedule),
-        "link": _expect_instance(LinkSchedule),
         "core": _expect_instance(CoreSchedule),
         "reporter": _expect_callable,
         "analytic": _expect_callable,
@@ -198,43 +190,25 @@ def probe_registry_entries(
 
 
 def study_spec_findings(study, origin: str) -> List[Finding]:
-    """R002 findings for every non-``SimulationConfig`` key in ``study``."""
-    from repro.core.config import SimulationConfig
+    """R002 findings for every non-``SimulationConfig`` key in ``study``
+    and its suite members."""
+    from repro.scenario.spec import unknown_config_keys
 
-    valid = {spec.name for spec in fields(SimulationConfig)}
     findings: List[Finding] = []
 
-    def _bad_key(key: str, where: str) -> None:
-        findings.append(
-            Finding(
-                rule="R002",
-                path=origin,
-                line=1,
-                message=(
-                    f"study {study.name!r}: {where} names {key!r}, which is "
-                    "not a SimulationConfig field"
-                ),
-            )
-        )
-
     def _walk(node, label: str) -> None:
-        for key in node.base:
-            if key not in valid:
-                _bad_key(key, f"{label} base")
-        for axis in node.axes:
-            if axis.is_variant:
-                for variant in axis.variants:
-                    for key in variant.overrides:
-                        if key not in valid:
-                            _bad_key(
-                                key, f"{label} variant {variant.name!r} overrides"
-                            )
-            elif axis.field not in valid:
-                _bad_key(axis.field, f"{label} axis field")
-        for scenario in node.scenarios:
-            for key in scenario.overrides:
-                if key not in valid:
-                    _bad_key(key, f"{label} scenario {scenario.name!r} overrides")
+        for where, key in unknown_config_keys(node):
+            findings.append(
+                Finding(
+                    rule="R002",
+                    path=origin,
+                    line=1,
+                    message=(
+                        f"study {study.name!r}: {label} {where} names {key!r}, "
+                        "which is not a SimulationConfig field"
+                    ),
+                )
+            )
         for member in node.members:
             _walk(member, f"{label} member {member.name!r}")
 

@@ -50,18 +50,10 @@ GuardGroups = Tuple[Tuple[str, ...], ...]
 #: The declared quiescence-relevant state, per module.
 WAKE_CONTRACTS: Dict[str, Dict[str, GuardGroups]] = {
     "repro.router.router": {
-        # Reference link schedule: per-port tuple deques, paired with the
-        # pending counters next_event_cycle sums.
+        # Per-port tuple-deque mailboxes, paired with the pending
+        # counters next_event_cycle sums.
         "_flit_mailboxes": (("_pending_flits",),),
         "_credit_mailboxes": (("_pending_credits",),),
-        # Batched link schedule: arrival wheels, paired with the wake
-        # guard (receivers run in the sender's evaluation).
-        "_flit_wheel": (("_wake", "_kernel_active"),),
-        "_credit_wheel": (("_wake", "_kernel_active"),),
-        # Channel membership lists, paired with the occupied-channel
-        # count (the busy gate) or the shared remove helper.
-        "_routing_members": (("_occupied_channels",), ("_membership_remove",)),
-        "_active_members": (("_occupied_channels",), ("_membership_remove",)),
     },
     "repro.network.interface": {
         "_eject_mailbox": (("_wake", "_kernel_active"),),
@@ -80,14 +72,6 @@ WAKE_CONTRACTS: Dict[str, Dict[str, GuardGroups]] = {
         # cycle the flat scheduler polls.
         "_ni_queue": (("_ni_wake",),),
         "_ni_flits": (("_ni_wake",),),
-    },
-    "repro.network.link": {
-        # The wheel is a passive container: every *owner* grows it
-        # through the contracts above.  Growth from inside link.py
-        # itself would bypass them, so any future push helper must
-        # involve the pending-visibility machinery.
-        "slots": (("earliest_pending",), ("_wake", "_kernel_active")),
-        "far": (("earliest_pending",), ("_wake", "_kernel_active")),
     },
     "repro.workload.engine": {
         # Released DAG steps land in per-node pending lists the sources'

@@ -80,19 +80,14 @@ class NetworkSimulator:
         ``tests/test_kernel_equivalence.py``); the exhaustive schedule is
         kept as the reference implementation.
 
-    The router busy path has the same two-implementations-one-semantics
-    split, selected by ``config.switch_mode`` (``"batched"`` default,
-    ``"reference"`` specification; enforced bit-identical by
-    ``tests/test_router_equivalence.py``), and so does link-level flit
-    transport, selected by ``config.link_mode`` (``"batched"`` arrival
-    lanes default, ``"reference"`` mailbox-tuple specification; enforced
-    by ``tests/test_link_equivalence.py``).  The fourth axis is the core
-    schedule, selected by ``config.core_mode``: ``"flat"`` (default)
-    lowers the whole network into one flat struct-of-arrays component
+    The second axis is the core schedule, selected by
+    ``config.core_mode``: ``"flat"`` (default) lowers the whole network
+    into one flat struct-of-arrays component
     (:mod:`repro.network.flatcore`), while ``"objects"`` (specification)
-    registers every router and interface with the kernel individually.  All
-    four axes compose freely and are enforced bit-identical across the
-    full sixteen-combination cube by ``tests/test_link_equivalence.py``.
+    registers every router and interface with the kernel individually.
+    The two axes compose freely and are enforced bit-identical across
+    the four-combination kernel x core cube by
+    ``tests/test_core_equivalence.py``.
     """
 
     def __init__(self, config: SimulationConfig, kernel_mode: str = "activity") -> None:
@@ -120,8 +115,6 @@ class NetworkSimulator:
             link_delay=config.link_delay,
             link_delays=config.link_delays,
             credit_delay=config.credit_delay,
-            switch_mode=config.switch_mode,
-            link_mode=config.link_mode,
         )
         if config.workload is not None:
             # Closed-loop run: the workload DAG replaces the stochastic

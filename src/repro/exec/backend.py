@@ -15,6 +15,7 @@ across workers.
 
 from __future__ import annotations
 
+import gc
 import os
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
@@ -34,11 +35,30 @@ __all__ = [
 ]
 
 
+#: Networks with at least this many nodes are reclaimed by a full garbage
+#: collection as soon as their simulation finishes (see
+#: :func:`simulate_config`).
+COLLECT_AFTER_NODES = 256
+
+
 def simulate_config(config: "SimulationConfig") -> "SimulationResult":
-    """Simulate one configuration (module-level so process pools can pickle it)."""
+    """Simulate one configuration (module-level so process pools can pickle it).
+
+    A finished simulator is cyclic garbage (routers are wired to their
+    neighbours, kernel callbacks are bound to the simulator), which only
+    a full collection frees.  Left to the collector's own schedule, a
+    large network can outlive its run and coexist with the next point's
+    network at peak memory, so networks of :data:`COLLECT_AFTER_NODES`
+    or more nodes are collected right away.  Smaller ones are left
+    alone: their garbage is small and a full collection per point would
+    dominate short runs.
+    """
     from repro.core.simulator import NetworkSimulator
 
-    return NetworkSimulator(config).run()
+    result = NetworkSimulator(config).run()
+    if config.num_nodes >= COLLECT_AFTER_NODES:
+        gc.collect()
+    return result
 
 
 def _import_plugins(plugins: Sequence[str]) -> None:

@@ -68,7 +68,11 @@ __all__ = [
 #: estimates and results grew the optional ``replicates`` statistics
 #: block, so entries written before the replication layer existed are
 #: never served as current.
-CACHE_FORMAT_VERSION = 9
+#: Version 10: configurations lost the ``switch_mode``/``link_mode``
+#: fields (the object core keeps only its reference schedules) and their
+#: provenance left the component map, so flat runs that differed only in
+#: those fields now share one slot and v9 entries are never served.
+CACHE_FORMAT_VERSION = 10
 
 #: ``*.tmp`` files younger than this many seconds are presumed to belong
 #: to a live concurrent writer and are left alone by :meth:`ResultCache.clear`.

@@ -1,7 +1,8 @@
 """Core schedules: the object network vs. the flat struct-of-arrays core.
 
-The simulator's fourth two-implementations-one-semantics axis, selected
-by :attr:`~repro.core.config.SimulationConfig.core_mode`:
+The simulator's second two-implementations-one-semantics axis (after
+the kernel's exhaustive/activity split), selected by
+:attr:`~repro.core.config.SimulationConfig.core_mode`:
 
 ``"objects"``
     The executable specification.  The network's routers and interfaces
@@ -30,8 +31,8 @@ deliver, routers evaluate in node order, interfaces evaluate in node
 order), keeps every RNG consultation site (path selectors, traffic
 sources, the shared message budget) in the same order, and reports the
 same quiescence cycles to the activity kernel.
-``tests/test_link_equivalence.py`` enforces this across the full
-sixteen-combination kernel x switch x link x core cube.
+``tests/test_core_equivalence.py`` enforces this across the
+four-combination kernel x core cube.
 
 A note on numpy: the busy path is dominated by irregular, data-dependent
 control flow (per-port round-robin groups, head/tail transitions,
@@ -82,10 +83,10 @@ class CoreSchedule:
     flat: bool
 
 
-#: The per-component object network (default).
+#: The per-component object network (the executable specification).
 OBJECTS = CoreSchedule(name="objects", flat=False)
 
-#: The flat struct-of-arrays whole-network core.
+#: The flat struct-of-arrays whole-network core (default).
 FLAT = CoreSchedule(name="flat", flat=True)
 
 register("core", OBJECTS.name, obj=OBJECTS, provenance=f"{__name__}:OBJECTS")
@@ -417,7 +418,9 @@ class FlatNetworkCore:
         loop is written as one flat function: every hot array is bound
         to a local exactly once per cycle and the two-stage switch
         allocation plus crossbar forwarding (the flat analogue of
-        ``Router._allocate_switch_batched`` and ``Router._forward``) are
+        ``Router._allocate_switch`` and ``Router._forward``, with both
+        round-robin stages reduced as in
+        :meth:`~repro.router.arbiter.RoundRobinArbiter.grant_sorted`) are
         inlined into the per-router body instead of paying a method call
         and attribute-binding prologue per busy router per cycle.
         """

@@ -62,13 +62,13 @@ class RoundRobinArbiter:
         pointer reduces, for a sorted list, to "first requester at or
         after the pointer, else the lowest requester" -- but without the
         per-call set construction and modulo walk.  This method is the
-        *executable specification* of that reduction: the router's
-        batched switch-allocation pass inlines the same logic against its
-        flat priority arrays (``Router._allocate_switch_batched``), so a
-        change here must be mirrored there and vice versa.
+        *executable specification* of that reduction: the flat core's
+        switch-allocation pass (``FlatNetworkCore.evaluate``) inlines the
+        same logic against its global priority arrays, so a change here
+        must be mirrored there and vice versa.
         ``tests/test_router_properties.py`` enforces grant_sorted == grant
-        at this level, and the router equivalence suite pins the inlined
-        copy end to end.
+        at this level, and the objects-vs-flat equivalence suites pin the
+        inlined copy end to end.
         """
         if not requests:
             return None

@@ -26,7 +26,7 @@ configurations is ``mesh_dims`` lists becoming tuples.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import SimulationConfig
@@ -40,7 +40,11 @@ __all__ = [
     "Study",
     "StudyPoint",
     "Variant",
+    "unknown_config_keys",
 ]
+
+#: The keys a spec's ``base``, value-axis ``field`` and overrides may name.
+_CONFIG_FIELDS = frozenset(spec.name for spec in fields(SimulationConfig))
 
 
 def _config_overrides(overrides: Mapping[str, object]) -> Dict[str, object]:
@@ -494,8 +498,16 @@ class Study:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Study":
+        """Rebuild a study from :meth:`to_dict` output.
+
+        Raises ``ValueError`` naming the study and the key when ``base``,
+        a value-axis ``field`` or any variant/scenario override names
+        something that is not a :class:`SimulationConfig` field -- e.g. a
+        key of a spec exported before that field was removed -- instead
+        of a bare ``TypeError`` when the study is later expanded.
+        """
         stop = data.get("stop")
-        return cls(
+        study = cls(
             name=str(data.get("study", data.get("name", "study"))),
             kind=str(data.get("kind", "grid")),
             title=str(data.get("title", "")),
@@ -511,6 +523,14 @@ class Study:
             members=tuple(cls.from_dict(member) for member in data.get("members", [])),
             plugins=tuple(str(plugin) for plugin in data.get("plugins", [])),
         )
+        unknown = unknown_config_keys(study)
+        if unknown:
+            where, key = unknown[0]
+            raise ValueError(
+                f"study {study.name!r}: {where} names {key!r}, which is not a "
+                "SimulationConfig field (delete it from the spec)"
+            )
+        return study
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
@@ -537,3 +557,29 @@ class Study:
                 if plugin not in seen:
                     seen.append(plugin)
         return tuple(seen)
+
+
+def unknown_config_keys(study: Study) -> List[Tuple[str, str]]:
+    """``(where, key)`` for every key of ``study`` that is not a
+    :class:`SimulationConfig` field: ``base`` keys, value-axis fields and
+    variant/scenario override keys, in spec order (suite members are not
+    descended into)."""
+    sources: List[Tuple[str, object]] = [("base", study.base)]
+    for axis in study.axes:
+        if axis.is_variant:
+            sources.extend(
+                (f"variant {variant.name!r} overrides", variant.overrides)
+                for variant in axis.variants
+            )
+        else:
+            sources.append(("axis field", (axis.field,)))
+    sources.extend(
+        (f"scenario {scenario.name!r} overrides", scenario.overrides)
+        for scenario in study.scenarios
+    )
+    return [
+        (where, key)
+        for where, keys in sources
+        for key in keys
+        if key not in _CONFIG_FIELDS
+    ]

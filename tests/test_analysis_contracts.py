@@ -41,7 +41,7 @@ from repro.analysis.registry_spec import (
 from repro.analysis.runner import main, run_lint
 from repro.analysis.source import discover_sources
 from repro.registry import REGISTRIES
-from repro.scenario.spec import Study
+from repro.scenario.spec import Axis, Study, Variant
 
 SRC_REPRO = Path(repro.__file__).resolve().parent
 REPO_ROOT = SRC_REPRO.parent.parent
@@ -220,21 +220,19 @@ def test_r001_fires_on_a_workload_factory_returning_the_wrong_type():
 
 
 def test_r002_fires_on_unknown_study_spec_fields():
-    study = Study.from_dict(
-        {
-            "study": "fixture",
-            "base": {"normalized_load": 0.2, "bogus_knob": 1},
-            "axes": [
-                {"field": "mystery_field", "values": [1, 2]},
-                {
-                    "name": "shape",
-                    "variants": [
-                        {"name": "bad", "overrides": {"phantom": True}},
-                    ],
-                },
-            ],
-            "scenarios": [],
-        }
+    # Built through the constructors: ``Study.from_dict`` itself rejects
+    # unknown fields, but a builder constructing a Study directly does
+    # not, and R002 is what catches it.
+    study = Study(
+        name="fixture",
+        base={"normalized_load": 0.2, "bogus_knob": 1},
+        axes=(
+            Axis(field="mystery_field", values=(1, 2)),
+            Axis(
+                name="shape",
+                variants=(Variant(name="bad", overrides={"phantom": True}),),
+            ),
+        ),
     )
     findings = study_spec_findings(study, "<fixture>")
     named = {f.message.split("names ")[1].split(",")[0] for f in findings}
@@ -261,17 +259,17 @@ def test_every_schedule_mode_ships_its_pair():
 
 
 def test_r003_fires_when_half_a_pair_goes_missing():
-    registry = REGISTRIES["link"]
-    entry = registry.entry("batched")
-    registry.unregister("batched")
+    registry = REGISTRIES["core"]
+    entry = registry.entry("flat")
+    registry.unregister("flat")
     try:
         findings = schedule_pair_findings()
         assert [f.rule for f in findings] == ["R003"]
-        assert "'link'" in findings[0].message
-        assert "'batched'" in findings[0].message
+        assert "'core'" in findings[0].message
+        assert "'flat'" in findings[0].message
     finally:
         registry.register(
-            "batched", obj=entry.factory, provenance=entry.provenance
+            "flat", obj=entry.factory, provenance=entry.provenance
         )
     assert schedule_pair_findings() == []
 

@@ -47,22 +47,30 @@ def test_run_command_honours_configuration_flags(capsys):
     assert "proud" in output
 
 
-def test_run_command_accepts_schedule_mode_flags(capsys):
-    # Pinning both busy-path schedule axes must not change the numbers
-    # relative to the defaults (both axes are bit-identical pairs).
-    exit_code = main(["run", *TINY_ARGS, "--switch-mode", "reference",
-                      "--link-mode", "reference"])
+def test_run_command_accepts_core_mode_flag(capsys):
+    # Pinning the reference object core must not change the numbers
+    # relative to the flat default (the two cores are a bit-identical
+    # pair).
+    exit_code = main(["run", *TINY_ARGS, "--core-mode", "objects"])
     assert exit_code == 0
     pinned = capsys.readouterr().out
     assert main(["run", *TINY_ARGS]) == 0
     assert capsys.readouterr().out == pinned
 
 
-def test_parser_rejects_unknown_link_mode():
+def test_parser_rejects_unknown_core_mode():
     from repro.cli import build_parser
 
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "--link-mode", "telepathy"])
+        build_parser().parse_args(["run", "--core-mode", "telepathy"])
+
+
+@pytest.mark.parametrize("flag", ["--switch-mode", "--link-mode"])
+def test_parser_rejects_removed_schedule_flags(flag):
+    # The object core keeps only its reference schedules, so the flags
+    # that picked a batched one are gone.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", flag, "reference"])
 
 
 def test_sweep_command_prints_one_row_per_load(capsys):

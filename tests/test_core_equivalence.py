@@ -1,31 +1,21 @@
-"""Bit-identical equivalence across the full schedule cube.
+"""Bit-identical equivalence across the kernel x core schedule cube.
 
-The simulator has four independent two-implementations-one-semantics
-axes: the kernel schedule (``exhaustive``/``activity``), the router
-busy-path schedule (``switch_mode``), the link-transport schedule
-(``link_mode``) and the core schedule (``core_mode``: the per-component
-object network versus the flat struct-of-arrays core).  Every run of a
-seeded randomized configuration must produce a field-for-field identical
-:class:`~repro.core.results.SimulationResult` under all sixteen
-(kernel, switch, link, core) combinations, with the
-(exhaustive, reference, reference, objects) corner as the executable
-specification.
+The simulator has two independent two-implementations-one-semantics
+axes: the kernel schedule (``exhaustive``/``activity``) and the core
+schedule (``core_mode``: the per-component object network versus the
+flat struct-of-arrays core).  Every run of a seeded randomized
+configuration must produce a field-for-field identical
+:class:`~repro.core.results.SimulationResult` under all four
+(kernel, core) combinations, with the (exhaustive, objects) corner as
+the executable specification.
 
 The flat core lowers the *whole network* -- every router and interface
 -- into global flat arrays walked once per cycle, so its combinations
 exercise a completely independent implementation of VC allocation,
 switch arbitration, link transport and injection against the same
-semantics.  (Under ``core_mode="flat"`` the ``switch_mode``/``link_mode``
-fields are carried in the config but the flat core's single pass
-subsumes both schedules; the cube still runs those combinations to pin
-the invariance.)
-
-The batched link transport may only restructure *how* in-flight flits
-and credits are stored and drained -- per-link arrival lanes consumed as
-due-span slices, sends flushed per evaluation pass -- never *what*
-arrives when: same arrival cycles, same FIFO order within a lane, same
-wake cycles reported to the activity kernel.  Everything is driven by
-seeded ``random.Random`` instances, so failures reproduce exactly.
+semantics: same arrival cycles, same FIFO order per lane, same wake
+cycles reported to the activity kernel.  Everything is driven by seeded
+``random.Random`` instances, so failures reproduce exactly.
 """
 
 from __future__ import annotations
@@ -39,25 +29,21 @@ from repro.core.config import SimulationConfig
 from repro.core.simulator import NetworkSimulator
 
 KERNEL_MODES = ("exhaustive", "activity")
-SWITCH_MODES = ("reference", "batched")
-LINK_MODES = ("reference", "batched")
 CORE_MODES = ("objects", "flat")
 
-#: All sixteen schedule combinations; the first entry is the
-#: specification corner every other combination is compared against.
-SCHEDULE_CUBE = tuple(
-    itertools.product(KERNEL_MODES, SWITCH_MODES, LINK_MODES, CORE_MODES)
-)
-assert SCHEDULE_CUBE[0] == ("exhaustive", "reference", "reference", "objects")
+#: All four schedule combinations; the first entry is the specification
+#: corner every other combination is compared against.
+SCHEDULE_CUBE = tuple(itertools.product(KERNEL_MODES, CORE_MODES))
+assert SCHEDULE_CUBE[0] == ("exhaustive", "objects")
 
 
 def _random_config(seed: int) -> SimulationConfig:
     """A small, drainable configuration drawn from a seeded RNG.
 
     Mirrors the ``test_router_properties`` scaffolding but additionally
-    varies the link-transport-relevant knobs: link and credit delays
-    (lane arrival spacing), message length down to single-flit messages
-    (head == tail) and loads up to contention.
+    varies the transport knobs: link and credit delays (lane arrival
+    spacing), message length down to single-flit messages (head == tail)
+    and loads up to contention.
     """
     rng = random.Random(seed * 7919)
     mesh_dims = rng.choice([(3, 3), (4, 4), (2, 5), (4, 2)])
@@ -83,23 +69,16 @@ def _random_config(seed: int) -> SimulationConfig:
     )
 
 
-def _run(
-    config: SimulationConfig,
-    kernel: str,
-    switch: str,
-    link: str,
-    core: str = "objects",
-):
+def _run(config: SimulationConfig, kernel: str, core: str):
     return NetworkSimulator(
-        config.variant(switch_mode=switch, link_mode=link, core_mode=core),
-        kernel_mode=kernel,
+        config.variant(core_mode=core), kernel_mode=kernel
     ).run()
 
 
 def _assert_equivalent(actual, reference, combo) -> None:
     """Field-for-field equality of everything the simulation computed.
 
-    The configs deliberately differ in their mode fields only, so the
+    The configs deliberately differ in ``core_mode`` only, so the
     comparison covers the computed fields plus the mode-normalised
     config.
     """
@@ -115,20 +94,17 @@ def _assert_equivalent(actual, reference, combo) -> None:
     assert actual.zero_load_latency == reference.zero_load_latency, combo
     assert actual.effective_message_rate == reference.effective_message_rate, combo
     assert actual.drain == reference.drain, combo
-    normalise = dict(
-        switch_mode="reference", link_mode="reference", core_mode="objects"
-    )
     assert (
-        actual.config.variant(**normalise)
-        == reference.config.variant(**normalise)
+        actual.config.variant(core_mode="objects")
+        == reference.config.variant(core_mode="objects")
     ), combo
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_full_schedule_cube_is_bit_identical(seed):
-    """Every (kernel, switch, link, core) combination reproduces the
-    (exhaustive, reference, reference, objects) specification corner bit
-    for bit on a randomized configuration."""
+    """Every (kernel, core) combination reproduces the (exhaustive,
+    objects) specification corner bit for bit on a randomized
+    configuration."""
     config = _random_config(seed)
     baseline = _run(config, *SCHEDULE_CUBE[0])
     for combo in SCHEDULE_CUBE[1:]:
@@ -137,7 +113,7 @@ def test_full_schedule_cube_is_bit_identical(seed):
 
 #: Contention-heavy variants: few VCs, shallow buffers and long messages
 #: force credit stalls and busy lanes -- the regime where an ordering bug
-#: in the due-span drain (or a send dropped by the flush) diverges.
+#: in the flat core's wheel drain or switch pass diverges.
 CONTENTION_GRID = [
     {"vcs_per_port": 2, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.9},
     {"vcs_per_port": 2, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.6,
@@ -157,15 +133,13 @@ CONTENTION_GRID = [
         for o in CONTENTION_GRID
     ],
 )
-def test_link_axis_under_contention(overrides, kernel_mode):
+def test_core_axis_under_contention(overrides, kernel_mode):
     config = SimulationConfig.tiny(seed=1).variant(
         measure_messages=150, warmup_messages=20, **overrides
     )
-    reference = _run(config, kernel_mode, "batched", "reference")
-    batched = _run(config, kernel_mode, "batched", "batched")
-    _assert_equivalent(batched, reference, (kernel_mode, "batched", "link-axis"))
-    flat = _run(config, kernel_mode, "batched", "batched", "flat")
-    _assert_equivalent(flat, reference, (kernel_mode, "flat", "core-axis"))
+    objects = _run(config, kernel_mode, "objects")
+    flat = _run(config, kernel_mode, "flat")
+    _assert_equivalent(flat, objects, (kernel_mode, "flat", "contention"))
 
 
 def test_single_flit_messages_cross_the_cube():
@@ -180,54 +154,36 @@ def test_single_flit_messages_cross_the_cube():
 
 
 def test_multi_cycle_link_and_credit_delays():
-    """Delays above one cycle stagger lane arrivals across cycles, so
-    due-spans become strict prefixes rather than whole lanes."""
+    """Delays above one cycle stagger lane arrivals across cycles, so a
+    wheel lane no longer holds one cycle's whole traffic per hop."""
     config = SimulationConfig.tiny(
         link_delay=2, credit_delay=3, normalized_load=0.4, seed=13
     )
     for kernel in KERNEL_MODES:
-        reference = _run(config, kernel, "batched", "reference")
-        batched = _run(config, kernel, "batched", "batched")
-        _assert_equivalent(batched, reference, (kernel, "delays", "link-axis"))
-
-
-def test_link_axis_identical_json_across_kernels():
-    """For a fixed (switch, link) pair the full result JSON -- config
-    included -- must match across the kernel axis, as in the kernel and
-    router equivalence suites."""
-    config = SimulationConfig.tiny(normalized_load=0.6, seed=17)
-    for link in LINK_MODES:
-        activity = _run(config, "activity", "batched", link)
-        exhaustive = _run(config, "exhaustive", "batched", link)
-        assert activity.to_json() == exhaustive.to_json(), link
-
-
-def test_link_mode_recorded_in_result_config():
-    config = SimulationConfig.tiny(normalized_load=0.1, seed=5)
-    assert _run(config, "activity", "batched", "reference").config.link_mode == "reference"
-    assert _run(config, "activity", "batched", "batched").config.link_mode == "batched"
+        objects = _run(config, kernel, "objects")
+        flat = _run(config, kernel, "flat")
+        _assert_equivalent(flat, objects, (kernel, "flat", "delays"))
 
 
 def test_core_mode_recorded_in_result_config():
     config = SimulationConfig.tiny(normalized_load=0.1, seed=5)
-    objects = _run(config, "activity", "batched", "batched", "objects")
-    flat = _run(config, "activity", "batched", "batched", "flat")
-    assert objects.config.core_mode == "objects"
-    assert flat.config.core_mode == "flat"
+    assert _run(config, "activity", "objects").config.core_mode == "objects"
+    assert _run(config, "activity", "flat").config.core_mode == "flat"
 
 
-def test_core_axis_identical_json_across_kernels():
-    """For the flat core the full result JSON -- config included -- must
-    match across the kernel axis, as for the other three axes."""
+@pytest.mark.parametrize("core", CORE_MODES)
+def test_core_identical_json_across_kernels(core):
+    """For a fixed core the full result JSON -- config included -- must
+    match across the kernel axis, as in the kernel equivalence suite."""
     config = SimulationConfig.tiny(normalized_load=0.6, seed=17)
-    activity = _run(config, "activity", "batched", "batched", "flat")
-    exhaustive = _run(config, "exhaustive", "batched", "batched", "flat")
+    activity = _run(config, "activity", core)
+    exhaustive = _run(config, "exhaustive", core)
     assert activity.to_json() == exhaustive.to_json()
 
 
-#: The fifth axis: closed-loop workloads.  One small instance per
+#: The workload axis: closed-loop workloads.  One small instance per
 #: built-in generator family plus the trace replayer; each must cross
-#: the whole sixteen-combination cube bit for bit, drain metrics
+#: the whole four-combination cube bit for bit, drain metrics
 #: included (the flat core fires the same delivery callbacks as the
 #: object interfaces).
 def _workload_overrides():
@@ -248,8 +204,8 @@ def _workload_overrides():
 @pytest.mark.parametrize("workload", sorted(_workload_overrides()))
 def test_workload_axis_crosses_the_cube(workload):
     """Every closed-loop generator reproduces the specification corner
-    bit for bit -- summary, cycles and drain block -- under all sixteen
-    (kernel, switch, link, core) combinations."""
+    bit for bit -- summary, cycles and drain block -- under all four
+    (kernel, core) combinations."""
     config = SimulationConfig(
         mesh_dims=(3, 3), message_length=4, seed=3,
         **_workload_overrides()[workload],
@@ -263,7 +219,7 @@ def test_workload_axis_crosses_the_cube(workload):
 #: The topology axis: wrapping points crossing the full cube.  The
 #: saturation-load uniform and tornado runs on the 4x4x4 torus are the
 #: acceptance workloads for the dateline escape discipline -- wrap-link
-#: pressure in every dimension, in both cores, under both allocators.
+#: pressure in every dimension, in both cores, under both kernels.
 TORUS_POINTS = {
     "torus2d-tornado-duato": dict(
         mesh_dims=(4, 4), torus=True, routing="duato", num_escape_vcs=2,
@@ -288,8 +244,8 @@ TORUS_POINTS = {
 @pytest.mark.parametrize("point", sorted(TORUS_POINTS))
 def test_torus_axis_crosses_the_cube(point):
     """Every wrapping-topology point reproduces the specification corner
-    bit for bit under all sixteen (kernel, switch, link, core)
-    combinations -- the dateline discipline is mirrored exactly."""
+    bit for bit under all four (kernel, core) combinations -- the
+    dateline discipline is mirrored exactly."""
     config = SimulationConfig(
         message_length=4, warmup_messages=20, measure_messages=120, seed=9,
         **TORUS_POINTS[point],
@@ -309,13 +265,27 @@ def test_config_rejects_unknown_core_mode():
         SimulationConfig.tiny(core_mode="holographic")
 
 
-def test_config_rejects_unknown_link_mode():
-    with pytest.raises(ValueError, match="link"):
-        SimulationConfig.tiny(link_mode="quantum-tunnel")
+
+#: The object core's former switch/link schedule knobs.  Only the
+#: reference schedules remain, so the fields are gone from both configs.
+REMOVED_SCHEDULE_FIELDS = ("switch_mode", "link_mode")
 
 
-def test_router_config_rejects_unknown_link_mode():
+@pytest.mark.parametrize("field", REMOVED_SCHEDULE_FIELDS)
+@pytest.mark.parametrize("config_class", ["SimulationConfig", "RouterConfig"])
+def test_configs_reject_removed_schedule_fields(config_class, field):
     from repro.router.config import RouterConfig
 
-    with pytest.raises(ValueError, match="link"):
-        RouterConfig(link_mode="quantum-tunnel")
+    cls = {"SimulationConfig": SimulationConfig, "RouterConfig": RouterConfig}[
+        config_class
+    ]
+    with pytest.raises(TypeError, match=field):
+        cls(**{field: "reference"})
+
+
+@pytest.mark.parametrize("core", CORE_MODES)
+def test_result_config_records_no_removed_schedule_field(core):
+    config = SimulationConfig.tiny(normalized_load=0.1, seed=5)
+    recorded = _run(config, "activity", core).to_dict()["config"]
+    assert recorded["core_mode"] == core
+    assert not set(REMOVED_SCHEDULE_FIELDS) & set(recorded)

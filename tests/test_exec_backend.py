@@ -298,3 +298,27 @@ def test_replicate_configs_expansion():
         SimulationConfig.tiny(replications=0)
     with pytest.raises(ValueError):
         SimulationConfig.tiny(seed_stride=0)
+
+
+@pytest.mark.parametrize(("mesh_dims", "collects"), [((16, 16), 1), ((4, 4), 0)])
+def test_simulate_config_collects_after_large_networks(monkeypatch, mesh_dims, collects):
+    # A finished simulator is cyclic garbage; large networks are
+    # reclaimed before the next point is built, small ones are not.
+    import gc
+
+    import repro.core.simulator as simulator_module
+    from repro.exec import backend as backend_module
+
+    class StubSimulator:
+        def __init__(self, config):
+            self.config = config
+
+        def run(self):
+            return fake_result(self.config)
+
+    calls = []
+    monkeypatch.setattr(simulator_module, "NetworkSimulator", StubSimulator)
+    monkeypatch.setattr(gc, "collect", lambda *args: calls.append(args) or 0)
+    config = SimulationConfig.tiny(mesh_dims=mesh_dims)
+    assert backend_module.simulate_config(config) == fake_result(config)
+    assert len(calls) == collects

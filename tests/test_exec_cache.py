@@ -218,59 +218,46 @@ def test_cache_key_is_stable_across_processes():
 # -- format v3+: component provenance in the key -------------------------------------
 
 
-def test_cache_format_is_v9():
-    # v3 added component provenance; v4 added the switch_mode config
-    # field and its schedule provenance; v5 added link_mode; v6 added
-    # core_mode and its schedule provenance; v7 added the closed-loop
-    # workload fields, the drain result block and the flat core default;
-    # v8 added the topology and link_delays fields (torus/torus3d
-    # support); v9 added replications/seed_stride, the streaming p50/p99
-    # summary fields and the replicates result block (see
-    # CACHE_FORMAT_VERSION docs).
+def test_cache_format_is_v10():
+    # v3 added component provenance; v4 and v5 added the object core's
+    # switch/link schedule fields; v6 added core_mode and its schedule
+    # provenance; v7 added the closed-loop workload fields, the drain
+    # result block and the flat core default; v8 added the topology and
+    # link_delays fields (torus/torus3d support); v9 added
+    # replications/seed_stride, the streaming p50/p99 summary fields and
+    # the replicates result block; v10 removed the switch/link schedule
+    # fields again (see CACHE_FORMAT_VERSION docs).
     from repro.exec.cache import CACHE_FORMAT_VERSION
 
-    assert CACHE_FORMAT_VERSION == 9
-
-
-def test_switch_mode_feeds_the_key():
-    # The two switch schedules are bit-identical, but their results must
-    # still live in distinct cache slots so pinned-mode studies never
-    # serve each other's entries.
-    batched = SimulationConfig.tiny()
-    reference = batched.variant(switch_mode="reference")
-    assert config_cache_key(batched) != config_cache_key(reference)
-
-
-def test_link_mode_feeds_the_key():
-    # Same contract for the link-transport schedules: bit-identical
-    # results, distinct slots -- and the two mode axes never alias each
-    # other (switching one field must not collide with switching the
-    # other).
-    batched = SimulationConfig.tiny()
-    link_reference = batched.variant(link_mode="reference")
-    switch_reference = batched.variant(switch_mode="reference")
-    keys = {
-        config_cache_key(batched),
-        config_cache_key(link_reference),
-        config_cache_key(switch_reference),
-        config_cache_key(batched.variant(switch_mode="reference", link_mode="reference")),
-    }
-    assert len(keys) == 4
+    assert CACHE_FORMAT_VERSION == 10
 
 
 def test_core_mode_feeds_the_key():
     # The two core schedules are bit-identical, but their results live in
-    # distinct slots, and the core axis never aliases the other two mode
-    # axes.
+    # distinct slots.
+    base = SimulationConfig.tiny()
+    assert config_cache_key(base) != config_cache_key(base.variant(core_mode="objects"))
+
+
+#: The object-core schedule fields cache format v10 removed.
+REMOVED_SCHEDULE_FIELDS = {"switch_mode": "batched", "link_mode": "batched"}
+
+
+def test_removed_schedule_fields_share_one_slot():
+    # Flat configs that differed only in the removed schedule fields used
+    # to occupy four slots for one bit-identical result; read back from
+    # their dictionaries (which drop unknown keys) they now share one.
     base = SimulationConfig.tiny()
     keys = {
-        config_cache_key(base),
-        config_cache_key(base.variant(core_mode="objects")),
-        config_cache_key(base.variant(switch_mode="reference")),
-        config_cache_key(base.variant(link_mode="reference")),
-        config_cache_key(base.variant(core_mode="objects", switch_mode="reference")),
+        config_cache_key(
+            SimulationConfig.from_dict(
+                {**base.to_dict(), "switch_mode": switch, "link_mode": link}
+            )
+        )
+        for switch in ("batched", "reference")
+        for link in ("batched", "reference")
     }
-    assert len(keys) == 5
+    assert keys == {config_cache_key(base)}
 
 
 def _v5_style_key(config):
@@ -347,25 +334,21 @@ def test_old_format_entries_are_ignored_not_misread(cache):
     assert config_cache_key(config) != _v2_style_key(config)
 
 
-def _v4_style_key(config):
-    """The pre-v5 key derivation: no ``link_mode`` field or provenance."""
+def _v9_style_key(config):
+    """The pre-v10 key derivation: the config still carries the switch and
+    link schedule fields, and their provenance joins the component map."""
     import hashlib
 
     from repro.registry import config_component_provenance
 
-    config_dict = {
-        key: value for key, value in config.to_dict().items() if key != "link_mode"
-    }
-    components = {
-        key: value
-        for key, value in config_component_provenance(config).items()
-        if key != "link_mode"
-    }
+    components = dict(config_component_provenance(config))
+    components["switch_mode"] = "repro.router.switch:BATCHED"
+    components["link_mode"] = "repro.network.link:BATCHED"
     payload = json.dumps(
         {
-            "format": 4,
+            "format": 9,
             "version": repro.__version__,
-            "config": config_dict,
+            "config": {**config.to_dict(), **REMOVED_SCHEDULE_FIELDS},
             "components": components,
         },
         sort_keys=True,
@@ -374,13 +357,14 @@ def _v4_style_key(config):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def test_v4_format_entries_are_ignored_not_misread(cache):
-    # An entry stored under the v4 key derivation (before configurations
-    # had a link_mode) must be invisible to the v5 code: a clean miss,
-    # never a misread -- the point is re-simulated under the v5 key.
+def test_v9_format_entries_are_ignored_not_misread(cache):
+    # An entry stored under the v9 key derivation (while configurations
+    # still had switch_mode/link_mode) must be invisible to the v10 code:
+    # a clean miss, never a misread -- the point is re-simulated under
+    # the v10 key.
     config = SimulationConfig.tiny()
     stale = make_result(config, latency=777.0)
-    old_path = cache.cache_dir / f"{_v4_style_key(config)}.json"
+    old_path = cache.cache_dir / f"{_v9_style_key(config)}.json"
     old_path.write_text(stale.to_json(), encoding="utf-8")
     assert cache.get(config) is None
     assert cache.misses == 1
@@ -388,7 +372,7 @@ def test_v4_format_entries_are_ignored_not_misread(cache):
     fresh = make_result(config, latency=30.0)
     cache.put(config, fresh)
     assert cache.get(config) == fresh
-    assert config_cache_key(config) != _v4_style_key(config)
+    assert config_cache_key(config) != _v9_style_key(config)
 
 
 def test_component_provenance_feeds_the_key():

@@ -109,6 +109,15 @@ def test_register_helper_rejects_unknown_kind():
     assert "unknown registry kind" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("kind", ["switch", "link"])
+def test_removed_schedule_kinds_are_not_registries(kind):
+    # The batched switch and link schedules were the only members of
+    # these kinds; the object core now has one fixed schedule.
+    assert kind not in REGISTRIES
+    with pytest.raises(ValueError, match="unknown registry kind"):
+        register(kind, "batched")
+
+
 def test_describe_registries_covers_every_kind():
     snapshot = registry.describe_registries()
     assert set(snapshot) == set(REGISTRIES)
@@ -120,10 +129,8 @@ def test_component_provenance_is_stable_and_complete():
     provenance = registry.config_component_provenance(config)
     assert set(provenance) == {
         "traffic", "routing", "table", "selector", "pipeline", "injection",
-        "switch_mode", "link_mode", "core_mode", "topology",
+        "core_mode", "topology",
     }
-    assert provenance["switch_mode"] == "repro.router.switch:BATCHED"
-    assert provenance["link_mode"] == "repro.network.link:BATCHED"
     assert provenance["core_mode"] == "repro.network.flatcore:FLAT"
     assert provenance["traffic"] == "repro.traffic.patterns:UniformPattern"
     assert provenance == registry.config_component_provenance(config)

@@ -1,19 +1,18 @@
-"""Bit-identical equivalence of the batched and reference switch schedules.
+"""Bit-identical equivalence of the object and flat cores on a router grid.
 
-The batched busy path may only restructure *how* the per-cycle work is
-found and ordered, never *what* it decides: the same virtual channels
-must be allocated, the same round-robin grants issued, the same selector
-and RNG consultations made -- so a simulation run under
-``switch_mode="batched"`` must reproduce ``switch_mode="reference"``
-field for field, bit for bit.  These tests sweep a grid of topology x
-routing x VC-count x load points (modeled on
-``tests/test_kernel_equivalence.py``) and additionally cross the switch
-axis with the kernel-schedule axis, since the two two-implementation
-contracts must compose.
+The flat core may only restructure *how* the per-cycle work is found
+and ordered, never *what* it decides: the same virtual channels must be
+allocated, the same round-robin grants issued, the same selector and RNG
+consultations made -- so a simulation run under ``core_mode="flat"``
+must reproduce the ``core_mode="objects"`` reference router field for
+field, bit for bit.  These tests sweep a grid of topology x routing x
+VC-count x load points (modeled on ``tests/test_kernel_equivalence.py``)
+and additionally cross the core axis with the kernel-schedule axis,
+since the two two-implementation contracts must compose.
 
-Note the two configurations differ in their ``switch_mode`` field, so
-the comparison covers everything the simulation *computes* (summary,
-cycles, analytics) rather than the raw config-bearing JSON.
+Note the two configurations differ in their ``core_mode`` field, so the
+comparison covers everything the simulation *computes* (summary, cycles,
+analytics) rather than the raw config-bearing JSON.
 """
 
 from __future__ import annotations
@@ -54,28 +53,28 @@ def _config(mesh_dims, routing, vcs, traffic, load) -> SimulationConfig:
     )
 
 
-def _run(config: SimulationConfig, switch_mode: str, kernel_mode: str = "activity"):
+def _run(config: SimulationConfig, core_mode: str, kernel_mode: str = "activity"):
     return NetworkSimulator(
-        config.variant(switch_mode=switch_mode), kernel_mode=kernel_mode
+        config.variant(core_mode=core_mode), kernel_mode=kernel_mode
     ).run()
 
 
-def _assert_equivalent(batched, reference) -> None:
+def _assert_equivalent(flat, objects) -> None:
     """Field-for-field equality of everything the simulation computed."""
-    expected = reference.summary.as_dict()
-    actual = batched.summary.as_dict()
+    expected = objects.summary.as_dict()
+    actual = flat.summary.as_dict()
     assert set(actual) == set(expected)
     for field, value in expected.items():
         assert actual[field] == value, (
-            f"LatencySummary.{field} diverged under the batched switch "
-            f"schedule: {actual[field]!r} != {value!r}"
+            f"LatencySummary.{field} diverged under the flat core: "
+            f"{actual[field]!r} != {value!r}"
         )
-    assert batched.cycles == reference.cycles
-    assert batched.zero_load_latency == reference.zero_load_latency
-    assert batched.effective_message_rate == reference.effective_message_rate
-    # The configs deliberately differ in switch_mode only; everything
+    assert flat.cycles == objects.cycles
+    assert flat.zero_load_latency == objects.zero_load_latency
+    assert flat.effective_message_rate == objects.effective_message_rate
+    # The configs deliberately differ in core_mode only; everything
     # else must round-trip equal.
-    assert batched.config.variant(switch_mode="reference") == reference.config
+    assert flat.config.variant(core_mode="objects") == objects.config
 
 
 @pytest.mark.parametrize(
@@ -86,15 +85,15 @@ def _assert_equivalent(batched, reference) -> None:
         for dims, r, v, t, l in GRID
     ],
 )
-def test_batched_switch_is_bit_identical(mesh_dims, routing, vcs, traffic, load):
+def test_flat_core_is_bit_identical(mesh_dims, routing, vcs, traffic, load):
     config = _config(mesh_dims, routing, vcs, traffic, load)
-    _assert_equivalent(_run(config, "batched"), _run(config, "reference"))
+    _assert_equivalent(_run(config, "flat"), _run(config, "objects"))
 
 
 #: Contention-heavy variants: few VCs, shallow buffers and long messages
 #: force allocation failures, credit stalls and same-cycle output-VC
 #: releases -- the regime where an ordering bug in the flat pass (or a
-#: stale membership array) diverges from the reference traversal.
+#: stale membership list) diverges from the reference traversal.
 CONTENTION_GRID = [
     {"vcs_per_port": 2, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.9},
     {"vcs_per_port": 2, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.6,
@@ -119,52 +118,34 @@ def test_equivalence_under_vc_contention(overrides):
     config = SimulationConfig.tiny(seed=1).variant(
         measure_messages=150, warmup_messages=20, **overrides
     )
-    _assert_equivalent(_run(config, "batched"), _run(config, "reference"))
+    _assert_equivalent(_run(config, "flat"), _run(config, "objects"))
 
 
 def test_equivalence_with_rng_drawing_selector():
     """The 'random' selector draws from per-router RNG streams during VC
-    allocation; the batched pass must visit ROUTING channels in the exact
+    allocation; the flat pass must visit ROUTING channels in the exact
     reference order or the draw sequences shift."""
     config = SimulationConfig.tiny(selector="random", normalized_load=0.5, seed=3)
-    _assert_equivalent(_run(config, "batched"), _run(config, "reference"))
+    _assert_equivalent(_run(config, "flat"), _run(config, "objects"))
 
 
 def test_equivalence_with_history_selector():
-    """LRU reads the usage metadata the forward path maintains; batching
-    the per-flit bookkeeping must not change what the selector sees."""
+    """LRU reads the usage metadata the forward path maintains; the flat
+    per-port arrays must show the selector exactly what the router's
+    output ports do."""
     config = SimulationConfig.tiny(selector="lru", normalized_load=0.5, seed=7)
-    _assert_equivalent(_run(config, "batched"), _run(config, "reference"))
+    _assert_equivalent(_run(config, "flat"), _run(config, "objects"))
 
 
 @pytest.mark.parametrize("kernel_mode", ["exhaustive", "activity"])
-def test_switch_axis_crosses_kernel_axis(kernel_mode):
-    """All four (kernel schedule, switch schedule) combinations agree on
+def test_core_axis_crosses_kernel_axis(kernel_mode):
+    """All four (kernel schedule, core schedule) combinations agree on
     one contended point: the two equivalence contracts compose."""
     config = SimulationConfig.tiny(normalized_load=0.6, seed=17)
-    batched = _run(config, "batched", kernel_mode)
-    reference = _run(config, "reference", kernel_mode)
-    _assert_equivalent(batched, reference)
-    # And across the kernel axis for the same switch mode, the full JSON
+    flat = _run(config, "flat", kernel_mode)
+    objects = _run(config, "objects", kernel_mode)
+    _assert_equivalent(flat, objects)
+    # And across the kernel axis for the same core, the full JSON
     # (config included) must match, as in test_kernel_equivalence.
     other = "activity" if kernel_mode == "exhaustive" else "exhaustive"
-    assert batched.to_json() == _run(config, "batched", other).to_json()
-
-
-def test_switch_mode_recorded_in_result_config():
-    config = SimulationConfig.tiny(normalized_load=0.1, seed=5)
-    result = _run(config, "reference")
-    assert result.config.switch_mode == "reference"
-    assert _run(config, "batched").config.switch_mode == "batched"
-
-
-def test_config_rejects_unknown_switch_mode():
-    with pytest.raises(ValueError, match="switch"):
-        SimulationConfig.tiny(switch_mode="warp-speed")
-
-
-def test_router_config_rejects_unknown_switch_mode():
-    from repro.router.config import RouterConfig
-
-    with pytest.raises(ValueError, match="switch"):
-        RouterConfig(switch_mode="warp-speed")
+    assert flat.to_json() == _run(config, "flat", other).to_json()

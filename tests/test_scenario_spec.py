@@ -166,6 +166,69 @@ def test_unknown_study_kind_rejected():
         Study(name="x", kind="mystery")
 
 
+def test_spec_with_removed_config_field_is_rejected_at_load():
+    # Every spec exported before the object core's schedule knobs were
+    # removed carries them in ``base``; loading must name the study and
+    # the field instead of failing later with a bare TypeError.
+    data = json.loads(spec_path("run").read_text(encoding="utf-8"))
+    data["base"]["switch_mode"] = "batched"
+    with pytest.raises(ValueError, match=r"study 'run': base names 'switch_mode'"):
+        Study.from_dict(data)
+
+
+def _specs_with_a_base():
+    names = []
+    for name in STUDIES.names():
+        data = json.loads(spec_path(name).read_text(encoding="utf-8"))
+        if "base" in data or any("base" in m for m in data.get("members", [])):
+            names.append(name)
+    return names
+
+
+@pytest.mark.parametrize("name", _specs_with_a_base())
+def test_legacy_export_of_every_shipped_spec_is_rejected_then_migrates(name):
+    # Reproduce the export of each shipped spec from before the schedule
+    # knobs were removed: both fields in every ``base``.  Loading names
+    # the first study that carries them; deleting them (the migration
+    # step) gives back the registered builder's study.
+    data = json.loads(spec_path(name).read_text(encoding="utf-8"))
+    studies = [data, *data.get("members", [])]
+    for study in studies:
+        if "base" in study:
+            study["base"].update(switch_mode="batched", link_mode="batched")
+    # Suite members load before their suite's own base is checked.
+    first = next(s for s in [*studies[1:], studies[0]] if "base" in s)
+    with pytest.raises(ValueError, match=rf"study '{first['study']}': base names"):
+        Study.from_dict(data)
+    for study in studies:
+        study.get("base", {}).pop("switch_mode", None)
+        study.get("base", {}).pop("link_mode", None)
+    assert Study.from_dict(data) == STUDIES.get(name)()
+
+
+@pytest.mark.parametrize(
+    ("where", "patch"),
+    [
+        ("axis field", {"axes": [{"field": "warp", "values": [1]}]}),
+        (
+            "variant 'v' overrides",
+            {"axes": [{"name": "x", "variants": [{"name": "v", "overrides": {"warp": 1}}]}]},
+        ),
+        ("scenario 's' overrides", {"scenarios": [{"name": "s", "overrides": {"warp": 1}}]}),
+    ],
+)
+def test_spec_rejects_unknown_axis_and_override_fields(where, patch):
+    data = {"study": "fixture", "base": {"seed": 2}, **patch}
+    with pytest.raises(ValueError, match=f"study 'fixture': {where} names 'warp'"):
+        Study.from_dict(data)
+
+
+def test_spec_rejects_unknown_fields_in_suite_members():
+    member = {"study": "inner", "base": {"link_mode": "batched"}}
+    with pytest.raises(ValueError, match="study 'inner': base names 'link_mode'"):
+        Study.from_dict({"study": "outer", "kind": "suite", "members": [member]})
+
+
 def test_analytic_study_needs_a_name():
     with pytest.raises(ValueError):
         Study(name="x", kind="analytic")
